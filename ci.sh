@@ -18,15 +18,11 @@
 #             telemetry plane) must stay at or above 94.0%;
 #             internal/analysis (the lint engine the other gates lean
 #             on) must stay at or above 90.0%; internal/eventsim (the
-#             sharded scheduler the million-peer runs sit on) must stay
-#             at or above 90.0%; internal/wire (the binary codec and
+#             one event engine every simulation runs on) must stay at
+#             or above 90.0%; internal/wire (the binary codec and
 #             packet framing under the UDP transport) must stay at or
 #             above 90.0%; internal/load (the open-loop generator
 #             behind qsaload) must stay at or above 90.0%
-#   shards    scripts/bench_shards.sh smoke: a 1-shard and a 4-shard run
-#             of the same seed must produce byte-identical output and
-#             both must complete (timings printed; full curve via
-#             scripts/bench_shards.sh → BENCH_shards.json)
 #   rpc       scripts/bench_rpc.sh smoke: both transport legs (JSON over
 #             TCP, binary over UDP) must complete a closed-loop run and
 #             binary must stay ≥2x smaller on the payload-bearing RPCs
@@ -115,7 +111,7 @@ awk -v c="$analysis_cover" 'BEGIN {
 	print "analysis coverage " c "% (baseline 90.0%)"
 }'
 
-echo '>> eventsim (sharded scheduler) coverage gate'
+echo '>> eventsim (event engine) coverage gate'
 go test -short -coverprofile="$eventsim_cover_out" ./internal/eventsim/ > /dev/null
 eventsim_cover=$(go tool cover -func="$eventsim_cover_out" | awk '/^total:/ { sub(/%/, "", $3); print $3 }')
 awk -v c="$eventsim_cover" 'BEGIN {
@@ -147,9 +143,6 @@ awk -v c="$load_cover" 'BEGIN {
 	}
 	print "load coverage " c "% (baseline 90.0%)"
 }'
-
-echo '>> shard determinism smoke'
-scripts/bench_shards.sh smoke
 
 echo '>> rpc wire-plane smoke'
 scripts/bench_rpc.sh smoke

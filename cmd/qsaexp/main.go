@@ -43,8 +43,6 @@ func main() {
 		repeats  = flag.Int("repeats", 1, "replicas per curve cell (mean±sd across seeds)")
 		scal     = flag.Bool("scalability", false, "run the grid-size scalability sweep")
 		nocache  = flag.Bool("nocache", false, "disable the hot-path caches (same results, slower; for benchmarking)")
-		shards   = flag.Int("shards", 0, "event lanes for the sharded engine in every run (0 = classic engine; results identical)")
-		shardW   = flag.Int("shard-workers", 0, "prepare workers per sharded run (0 = min(shards, GOMAXPROCS))")
 	)
 	flag.Parse()
 	if *fig == "" && *ablation == "" && !*scal {
@@ -65,8 +63,6 @@ func main() {
 	s.Workers = *workers
 	s.Repeats = *repeats
 	s.DisableCaches = *nocache
-	s.Shards = *shards
-	s.ShardWorkers = *shardW
 
 	die := func(err error) {
 		fmt.Fprintln(os.Stderr, err)

@@ -17,8 +17,8 @@ import (
 // shared call graph can see. Two shapes are reported:
 //
 //   - acquisition cycles (A held while locking B somewhere, B held
-//     while locking A somewhere else): the classic deadlock the
-//     sharded event loops and Raft reservations on the roadmap would
+//     while locking A somewhere else): the classic deadlock that
+//     concurrent peers, transports and admission workers would
 //     otherwise invite;
 //   - a lock held across a call into another package that blocks
 //     (channel operation, net dial, Transport.Dial RPC): the

@@ -186,11 +186,9 @@ type Aggregator struct {
 	// Spans, when enabled, mints the causal stage spans of the request
 	// trace, and ReqSpan is the current request's root span context —
 	// set by the caller alongside ReqID (the zero context marks the
-	// request unsampled, making every stage span inert). Stage spans are
-	// emitted only from the serial paths — Aggregate, AggregateFinish,
-	// and the attempt loop — never from the Prepare* speculative stages,
-	// so the span-ID sequence (and with it every trace byte) replays
-	// identically across shard counts. In simulator virtual time the
+	// request unsampled, making every stage span inert). Span IDs come
+	// from Spans' seeded counter in emission order, so a same-seed run
+	// replays every trace byte. In simulator virtual time the
 	// whole pipeline runs at one instant, so these spans are
 	// zero-duration: they carry structure (stage order, attempts,
 	// outcomes), not latency; the prototype's wall-clock spans carry
@@ -325,16 +323,6 @@ func (a *Aggregator) Aggregate(user topology.PeerID, req *service.Request,
 	if a.Spans.Enabled() {
 		a.stageSpan(obs.Event{Stage: obs.StageDiscovery, OK: true})
 	}
-	return a.runAttempts(user, req, now, strat, disc, a.RNG, nil, nil, false)
-}
-
-// runAttempts is the compose→select→admit retry loop shared by Aggregate
-// and AggregateFinish. When preComposed is true, attempt 0 consumes the
-// already-computed (prepPath, prepErr) pair instead of composing; every
-// later attempt composes over the exclusion-filtered layers with rng.
-func (a *Aggregator) runAttempts(user topology.PeerID, req *service.Request, now float64,
-	strat Strategy, disc *Discovery, rng *xrand.Source,
-	prepPath *compose.Path, prepErr error, preComposed bool) (*session.Session, error) {
 
 	layers := disc.Layers
 	var lastErr error
@@ -342,14 +330,7 @@ func (a *Aggregator) runAttempts(user topology.PeerID, req *service.Request, now
 		if attempt > 0 && a.Tracer != nil {
 			a.Tracer.Emit(obs.Event{Kind: obs.KindRetry, Req: a.ReqID, Attempt: attempt})
 		}
-		var sess *session.Session
-		var path *compose.Path
-		var err error
-		if attempt == 0 && preComposed {
-			sess, path, err = a.attemptWith(user, req, now, strat, disc, prepPath, prepErr, attempt)
-		} else {
-			sess, path, err = a.attempt(user, req, now, strat, disc, layers, attempt, rng)
-		}
+		sess, path, err := a.attempt(user, req, now, strat, disc, layers, attempt)
 		if err == nil {
 			return sess, nil
 		}
@@ -383,43 +364,23 @@ func (a *Aggregator) runAttempts(user topology.PeerID, req *service.Request, now
 	return nil, lastErr
 }
 
-// composePath runs the strategy's composition algorithm over layers.
-// Dispatch assigns rather than tail-returns: hotalloc reads a block that
-// terminates in `return ..., err` as a cold failure path, and the
-// composer calls must stay inside the analyzed hot region.
-func (a *Aggregator) composePath(layers [][]*service.Instance, req *service.Request,
-	strat Strategy, rng *xrand.Source) (*compose.Path, error) {
+// attempt runs one compose→select→admit pass over the given layers.
+func (a *Aggregator) attempt(user topology.PeerID, req *service.Request, now float64,
+	strat Strategy, disc *Discovery, layers [][]*service.Instance, attempt int) (*session.Session, *compose.Path, error) {
+
 	var path *compose.Path
 	var err error
 	switch strat.Compose {
 	case ComposeQCS:
 		path, err = compose.QCS(layers, req.UserQoS, a.ComposeConfig)
 	case ComposeRandom:
-		path, err = compose.Random(layers, req.UserQoS, rng, a.ComposeConfig)
+		path, err = compose.Random(layers, req.UserQoS, a.RNG, a.ComposeConfig)
 	case ComposeFixed:
 		path, err = compose.Fixed(layers, req.UserQoS, a.ComposeConfig)
 	default:
 		// lint:allow hotalloc invalid-Strategy guard; unreachable with the vetted strategies the bench and sim use
 		err = fmt.Errorf("unknown composer %d", strat.Compose)
 	}
-	return path, err
-}
-
-// attempt runs one compose→select→admit pass over the given layers.
-func (a *Aggregator) attempt(user topology.PeerID, req *service.Request, now float64,
-	strat Strategy, disc *Discovery, layers [][]*service.Instance, attempt int,
-	rng *xrand.Source) (*session.Session, *compose.Path, error) {
-
-	path, err := a.composePath(layers, req, strat, rng)
-	return a.attemptWith(user, req, now, strat, disc, path, err, attempt)
-}
-
-// attemptWith finishes one attempt from an already-computed composition
-// outcome: it emits the compose trace event and runs the
-// provider-resolution → selection → admission tail.
-func (a *Aggregator) attemptWith(user topology.PeerID, req *service.Request, now float64,
-	strat Strategy, disc *Discovery, path *compose.Path, err error, attempt int) (*session.Session, *compose.Path, error) {
-
 	if err != nil {
 		if a.Tracer != nil {
 			a.Tracer.Emit(obs.Event{Kind: obs.KindCompose, Req: a.ReqID, Attempt: attempt, Err: err.Error()})
@@ -503,92 +464,6 @@ func (a *Aggregator) attemptWith(user topology.PeerID, req *service.Request, now
 			Session: strconv.FormatUint(sess.ID, 10)})
 	}
 	return sess, path, nil
-}
-
-// PreparedAggregation carries the pre-stages of one request through the
-// sharded engine: discovery (serial pre-pass) and the first composition
-// attempt (speculative parallel stage). The commit validates it against
-// the registry epoch and topology version captured by the caller and
-// either finishes via AggregateFinish or discards it and redoes the
-// request with plain Aggregate.
-type PreparedAggregation struct {
-	// Disc is the discovery result, owned by this request (not the
-	// aggregator's scratch) so prepared requests can coexist within an
-	// epoch.
-	Disc *Discovery
-	// Err is a validation or discovery failure; when set the other
-	// fields are empty and AggregateFinish returns it unchanged.
-	Err error
-	// Path and ComposeErr are the speculative first composition outcome;
-	// meaningful only when Composed is true.
-	Path       *compose.Path
-	ComposeErr error
-	Composed   bool
-}
-
-// PrepareDiscovery runs the validation and discovery head of the
-// pipeline for one request. It is the serial pre-stage of the sharded
-// engine: it charges registry lookups (and their statistics) at claim
-// time, in merged event order, so the charge sequence is identical for
-// every shard count. The result is self-contained — it does not alias
-// the aggregator's scratch buffers.
-func (a *Aggregator) PrepareDiscovery(user topology.PeerID, req *service.Request,
-	now float64) *PreparedAggregation {
-
-	p := &PreparedAggregation{}
-	if err := req.Validate(); err != nil {
-		p.Err = &ErrAggregation{StageDiscovery, err}
-		return p
-	}
-	d := &Discovery{}
-	if err := a.discoverInto(d, user, req.App.Path, now); err != nil {
-		p.Err = err
-		return p
-	}
-	p.Disc = d
-	return p
-}
-
-// PrepareCompose runs the speculative first composition attempt over a
-// prepared discovery. It touches only the aggregator's compose scratch
-// and memo (lane-local in the sharded simulator) plus rng, so it is safe
-// on a prepare worker as long as each aggregator stays on one goroutine.
-// A prepared request that failed discovery is left untouched.
-func (a *Aggregator) PrepareCompose(p *PreparedAggregation, req *service.Request,
-	strat Strategy, rng *xrand.Source) {
-
-	if p.Err != nil || p.Disc == nil {
-		return
-	}
-	p.Path, p.ComposeErr = a.composePath(p.Disc.Layers, req, strat, rng)
-	p.Composed = true
-}
-
-// AggregateFinish commits a prepared request: it consumes the prepared
-// discovery and first composition (composing inline if the speculative
-// stage never ran) and continues through selection, admission, and the
-// retry loop with rng. The caller must have validated that the registry
-// and topology are unchanged since PrepareDiscovery; otherwise it must
-// discard the preparation and call Aggregate instead.
-func (a *Aggregator) AggregateFinish(p *PreparedAggregation, user topology.PeerID,
-	req *service.Request, now float64, strat Strategy, rng *xrand.Source) (*session.Session, error) {
-
-	if p.Err != nil {
-		if a.Spans.Enabled() {
-			a.stageSpan(obs.Event{Stage: EventStage(p.Err), Err: p.Err.Error()})
-		}
-		return nil, p.Err
-	}
-	// The discovery span is closed here — at the commit, not in
-	// PrepareDiscovery — so the span-ID stream advances in commit order
-	// exactly as the unsharded execution would.
-	if a.Spans.Enabled() {
-		a.stageSpan(obs.Event{Stage: obs.StageDiscovery, OK: true})
-	}
-	if !p.Composed {
-		a.PrepareCompose(p, req, strat, rng)
-	}
-	return a.runAttempts(user, req, now, strat, p.Disc, rng, p.Path, p.ComposeErr, true)
 }
 
 // PathCost exposes the aggregated Definition 3.1 cost of an instance

@@ -5,7 +5,9 @@
 // minutes: request arrivals, session completions, peer churn and periodic
 // probe refreshes are all events. The engine is single-threaded by design —
 // determinism matters more than parallelism inside one run; the experiment
-// harness parallelizes across independent runs instead.
+// harness parallelizes across independent runs instead. Parallel lanes
+// inside one run do not pay: discovery, selection, admission and tracing
+// must stay in event order, which leaves little to overlap (DESIGN.md §11).
 //
 // Time is a float64 in simulated minutes, matching the paper's units
 // (request rates in req/min, churn in peers/min, durations in minutes).
@@ -15,44 +17,6 @@ import "container/heap"
 
 // Time is a point in simulated time, in minutes.
 type Time = float64
-
-// Handle is the cancellation surface of a scheduled event. Both the
-// single-threaded Engine's *Event and the sharded engine's *ShardEvent
-// (and both tickers) implement it, so callers that only need to cancel —
-// the session manager's expiry timers, the simulator's workload tickers —
-// work against either engine.
-type Handle interface {
-	// Cancel prevents a still-pending handler from running. Cancelling an
-	// already executed or already cancelled event is provably inert: it
-	// does not change the event's state, and it cannot touch whatever
-	// event now occupies the recycled queue slot.
-	Cancel()
-	// Cancelled reports whether Cancel arrived in time to suppress the
-	// handler. An event that already ran reports false forever.
-	Cancelled() bool
-}
-
-// Scheduler is the scheduling surface shared by the Engine and the
-// ShardedEngine. The method names are distinct from the engines' concrete
-// helpers (At, After, Every) so both can keep their richer concrete
-// signatures while satisfying one interface.
-type Scheduler interface {
-	Now() Time
-	Schedule(t Time, fn func()) Handle
-	ScheduleAfter(d float64, fn func()) Handle
-	ScheduleEvery(first, period float64, fn func()) Handle
-}
-
-// Runner extends Scheduler with the execution loop — what a closed-loop
-// simulation needs to drive either engine.
-type Runner interface {
-	Scheduler
-	RunUntil(deadline Time)
-	Run()
-	Step() bool
-	Executed() uint64
-	Pending() int
-}
 
 // Lifecycle states of a scheduled event. The explicit state machine is
 // what makes a stale Cancel provably inert: once an event has executed,
@@ -146,6 +110,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 		// lint:allow panic-in-library scheduling into the past would silently reorder causality; no caller can recover meaningfully
 		panic("eventsim: scheduling event in the past")
 	}
+	// lint:allow hotalloc one event per scheduled callback; a session's expiry timer is one of Aggregate's budgeted allocs
 	ev := &Event{at: t, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.queue, ev)
@@ -195,17 +160,6 @@ func (t *Ticker) Cancel() {
 
 // Cancelled reports whether the ticker has been stopped.
 func (t *Ticker) Cancelled() bool { return t.dead }
-
-// Schedule adapts At to the Scheduler interface.
-func (e *Engine) Schedule(t Time, fn func()) Handle { return e.At(t, fn) }
-
-// ScheduleAfter adapts After to the Scheduler interface.
-func (e *Engine) ScheduleAfter(d float64, fn func()) Handle { return e.After(d, fn) }
-
-// ScheduleEvery adapts Every to the Scheduler interface.
-func (e *Engine) ScheduleEvery(first, period float64, fn func()) Handle {
-	return e.Every(first, period, fn)
-}
 
 // Step executes the single next event, if any, advancing the clock to its
 // timestamp. It reports whether an event ran (cancelled events are skipped

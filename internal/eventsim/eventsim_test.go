@@ -88,6 +88,32 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestCancelAfterExecutionInert: a handle kept past execution — or
+// cancelled from inside its own handler — must be inert: Cancel neither
+// reports the event cancelled nor suppresses the event that reuses its
+// old heap slot.
+func TestCancelAfterExecutionInert(t *testing.T) {
+	e := New()
+	var self *Event
+	self = e.At(1, func() { self.Cancel() })
+	first := e.At(2, func() {})
+	e.RunUntil(2)
+	ran := false
+	e.At(3, func() { ran = true })
+	first.Cancel()
+	self.Cancel()
+	e.Run()
+	if !ran {
+		t.Fatal("stale Cancel suppressed a later event")
+	}
+	if first.Cancelled() || self.Cancelled() {
+		t.Fatal("executed events report Cancelled")
+	}
+	if e.Executed() != 3 {
+		t.Fatalf("Executed = %d, want 3", e.Executed())
+	}
+}
+
 func TestCancelFromEarlierEvent(t *testing.T) {
 	e := New()
 	ran := false

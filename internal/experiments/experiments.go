@@ -56,13 +56,6 @@ type Scale struct {
 	// identical either way — the flag exists to measure the plane's cost,
 	// not to change outcomes.
 	DisableCaches bool
-
-	// Shards runs every simulation on the sharded event engine with this
-	// many lanes (0 = classic single-heap engine). Results are identical
-	// for every positive value; see sim.Config.Shards.
-	Shards int
-	// ShardWorkers is passed through to sim.Config.ShardWorkers.
-	ShardWorkers int
 }
 
 // PaperScale reproduces the paper's full evaluation parameters.
@@ -123,8 +116,6 @@ func (s Scale) baseConfig(alg sim.Algorithm, rate, churn, duration float64) sim.
 		cfg.SampleWindow = 2
 	}
 	cfg.DisableCaches = s.DisableCaches
-	cfg.Shards = s.Shards
-	cfg.ShardWorkers = s.ShardWorkers
 	return cfg
 }
 

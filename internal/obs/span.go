@@ -14,11 +14,11 @@ import (
 // request.
 //
 // Determinism: trace IDs are pure functions of (salt, request ID) and
-// span IDs are minted from a counter that — in simulator mode — is only
-// advanced on the serial commit path, the same discipline that makes
-// Tracer emission order byte-identical across shard counts (DESIGN
-// §13). Timestamps come from the tracer's injected clock, never the
-// wall clock.
+// span IDs are minted from a counter that — in simulator mode — is
+// advanced only from the single simulation goroutine, in event order, so
+// a same-seed run replays every ID byte-identically (DESIGN §13).
+// Timestamps come from the tracer's injected clock, never the wall
+// clock.
 
 // SpanContext is the causal coordinate a request carries across the
 // wire: which trace it belongs to and which span is its current parent.
@@ -114,9 +114,9 @@ func (s *Spans) Join(ctx SpanContext, req uint64) Span {
 	}
 }
 
-// nextID mints a span ID. The counter is advanced only from serial
-// code in simulator mode (see the package comment), so the sequence —
-// and therefore every ID — replays identically across shard counts.
+// nextID mints a span ID. In simulator mode the counter is advanced in
+// event order (see the package comment), so the sequence — and therefore
+// every ID — replays identically for the same seed.
 func (s *Spans) nextID() uint64 {
 	return nonZero(xrand.MixIndex(s.salt^0x1d, s.seq.Add(1)))
 }

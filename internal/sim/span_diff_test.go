@@ -8,15 +8,14 @@ import (
 	"repro/internal/obs"
 )
 
-// TestSpanShardInvariance is the causal-tracing acceptance bar: with
-// every request sampled, the telemetry stream — span IDs, timestamps,
-// interleaving and all — is byte-identical across shard counts.
-func TestSpanShardInvariance(t *testing.T) {
-	var ref []byte
-	var refRes *Result
-	for _, shards := range []int{1, 4} {
+// TestSpanReplayIdentical is the causal-tracing acceptance bar: with
+// every request sampled, recovery on and peers churning, two same-seed
+// runs produce byte-identical telemetry — span IDs, timestamps,
+// interleaving and all — and identical RequestStats.
+func TestSpanReplayIdentical(t *testing.T) {
+	run := func() (*Result, []byte) {
 		var tel bytes.Buffer
-		cfg := shardDiffConfig(QSA, shards)
+		cfg := diffConfig(QSA, false)
 		cfg.SpanSample = 1
 		cfg.EnableRecovery = true
 		cfg.TelemetryOut = &tel
@@ -24,17 +23,15 @@ func TestSpanShardInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref == nil {
-			ref = append([]byte(nil), tel.Bytes()...)
-			refRes = res
-			continue
-		}
-		if res.Requests != refRes.Requests {
-			t.Fatalf("shards=%d RequestStats diverged:\nref: %+v\ngot: %+v", shards, refRes.Requests, res.Requests)
-		}
-		if !bytes.Equal(tel.Bytes(), ref) {
-			t.Fatalf("shards=%d span telemetry diverged (%d vs %d bytes)", shards, len(ref), tel.Len())
-		}
+		return res, tel.Bytes()
+	}
+	refRes, ref := run()
+	res, tel := run()
+	if res.Requests != refRes.Requests {
+		t.Fatalf("RequestStats diverged:\nref: %+v\ngot: %+v", refRes.Requests, res.Requests)
+	}
+	if !bytes.Equal(tel, ref) {
+		t.Fatalf("span telemetry diverged (%d vs %d bytes)", len(ref), len(tel))
 	}
 	evs, err := obs.ReadEvents(bytes.NewReader(ref))
 	if err != nil {
